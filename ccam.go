@@ -54,7 +54,6 @@ import (
 	"ccam/internal/netfile"
 	"ccam/internal/partition"
 	"ccam/internal/query"
-	"ccam/internal/query/plan"
 	"ccam/internal/storage"
 	"ccam/internal/topo"
 )
@@ -265,12 +264,12 @@ type Options struct {
 	// tail latency under write load differs.
 	ExclusiveReads bool
 	// BackgroundReorg starts the incremental reorganizer: a goroutine
-	// that watches the CRR gauge decay under updates and re-clusters
-	// the worst PAG neighborhoods a few pages at a time, through the
-	// WAL and the version layer, so readers keep their snapshots and
-	// never observe a stop-the-world rebuild. Requires Metrics (the
-	// trigger reads the live CRR gauge); only the CCAM access methods
-	// support it.
+	// that watches the CRR decay under updates and re-clusters the
+	// worst PAG neighborhoods a few pages at a time, through the WAL
+	// and the version layer, so readers keep their snapshots and never
+	// observe a stop-the-world rebuild. The trigger reads the file's
+	// topology catalog, so it works with or without Metrics; only the
+	// CCAM access methods support it.
 	BackgroundReorg bool
 	// ReorgInterval is the reorganizer's polling period (default 2s).
 	ReorgInterval time.Duration
@@ -384,18 +383,6 @@ type Store struct {
 	// reorg is the background incremental reorganizer (nil without
 	// Options.BackgroundReorg). Close halts it before locking.
 	reorg *reorganizer
-	// cat caches the CCAM-QL planner's catalog (statistics, placement
-	// and adjacency mirrors); it is built lazily by the first Query
-	// from a pinned snapshot and then kept current incrementally:
-	// every committed batch applies its op and placement deltas under
-	// catMu, guarded by catLSN (the commit LSN the catalog reflects)
-	// so a batch that committed before the catalog was built is never
-	// applied twice. Build drops it. catMu guards cat and catLSN
-	// independently of mu so a lazy build never blocks, and is never
-	// torn by, a concurrent Apply; lock order is mu before catMu.
-	catMu  sync.Mutex
-	cat    *plan.Catalog
-	catLSN uint64
 }
 
 // failedErr returns the poison error, or nil on a healthy store.
@@ -420,9 +407,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.WAL && opts.Path == "" {
 		return nil, errors.New("ccam: Options.WAL requires Options.Path")
-	}
-	if opts.BackgroundReorg && !opts.Metrics {
-		return nil, errors.New("ccam: Options.BackgroundReorg requires Options.Metrics (the trigger reads the CRR gauge)")
 	}
 	cfg := iccam.Config{
 		PageSize:        opts.PageSize,
@@ -531,11 +515,7 @@ func (s *Store) Build(g *Network) error {
 		s.reorg.resetLocked()
 	}
 	if s.obs == nil {
-		err := s.buildLocked(g)
-		if err == nil {
-			s.invalidateCatalog()
-		}
-		return err
+		return s.buildLocked(g)
 	}
 	start := time.Now()
 	err := s.buildLocked(g)
@@ -546,9 +526,7 @@ func (s *Store) Build(g *Network) error {
 		return err
 	}
 	om.latency.ObserveSince(start)
-	s.invalidateCatalog()
-	s.obs.mirrorFromNetwork(g)
-	s.obs.refreshGauges(s.m.File())
+	s.obs.setGauges(s.m.File())
 	return nil
 }
 
@@ -564,6 +542,9 @@ func (s *Store) buildLocked(g *Network) error {
 	if err := s.m.Build(g); err != nil {
 		return err
 	}
+	// Records carry no access weights; the catalog takes them from the
+	// source network.
+	s.m.File().Catalog().SetWeights(g)
 	if s.wal != nil {
 		f := s.m.File()
 		f.AttachWAL(s.wal, s.fs)
@@ -1341,16 +1322,9 @@ func OpenPath(path string, opts Options) (*Store, error) {
 		f.EnableMetrics(reg, tracer)
 	}
 	if obs != nil {
-		// Rebuild the topology mirror from the stored records (weights
-		// are not persisted, so edges get weight 1 and WCRR == CRR),
-		// then discard the scan's I/O so counters start clean.
-		var recs []*Record
-		if err := f.Scan(func(rec *Record) bool { recs = append(recs, rec); return true }); err != nil {
-			fs.Close()
-			return nil, err
-		}
-		obs.mirrorFromRecords(recs)
-		obs.refreshGauges(f)
+		// Weights are not persisted: the reopened catalog weighs every
+		// edge 1, so WCRR == CRR until a Build from the source network.
+		obs.setGauges(f)
 	}
 	if err := f.ResetIO(); err != nil {
 		fs.Close()
@@ -1366,10 +1340,6 @@ func OpenPath(path string, opts Options) (*Store, error) {
 		s.checkpointBytes = defaultCheckpointBytes
 	}
 	if opts.BackgroundReorg {
-		if !opts.Metrics {
-			s.Close()
-			return nil, errors.New("ccam: Options.BackgroundReorg requires Options.Metrics (the trigger reads the CRR gauge)")
-		}
 		if err := s.startReorganizer(opts); err != nil {
 			s.Close()
 			return nil, err

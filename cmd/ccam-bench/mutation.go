@@ -104,10 +104,9 @@ func runMutationCell(dir string, g *graph.Network, edges []graph.Edge, writers i
 		Path:       filepath.Join(dir, fmt.Sprintf("w%d-p%d.ccam", writers, pol)),
 		WAL:        true,
 		SyncPolicy: pol,
-		// Metrics stay off: the registry refreshes the CRR/WCRR gauges
-		// (an O(edges) scan) under the store latch after every commit,
-		// which would swamp the fsync cost this experiment isolates.
-		// WALStats counts fsyncs regardless.
+		// Metrics stay off: this experiment isolates the fsync cost, and
+		// the per-op instrumentation would add its own. WALStats counts
+		// fsyncs regardless.
 		// Keep checkpoints out of the timed window too: the sweep
 		// measures commit latency, not checkpoint cost.
 		CheckpointBytes: 1 << 30,

@@ -4,7 +4,8 @@
 // ccam.Open(Options{Path: ...}): the checksummed header (magic, page
 // size, generation, CRC), the durable free-page chain, per-page CRC32
 // trailers, slotted-page structure, and the agreement between records
-// and the (rebuilt) node index — each node id stored exactly once.
+// and the (rebuilt) node index — each node id stored exactly once — and
+// the topology catalog an open rebuilds against a scan of the records.
 // Damage is reported per page; with -repair, damaged pages are
 // quarantined onto the free list so ccam.OpenPath opens the surviving
 // records instead of failing the whole file.
@@ -241,7 +242,9 @@ func runDrill(out, errw io.Writer, seed int64, ops int, quiet bool) int {
 
 // checkRecordAgreement scans every record of a physically clean file
 // and reports node ids stored more than once (index↔record
-// disagreement) or records that fail to decode.
+// disagreement) or records that fail to decode. A file that passes is
+// then opened as the store opens it, and the topology catalog built
+// there is checked against a scan through the buffer pool.
 func checkRecordAgreement(path string, out io.Writer, quiet bool) (problems int, err error) {
 	st, fileStore, err := storage.OpenPageFile(path)
 	if err != nil {
@@ -283,7 +286,22 @@ func checkRecordAgreement(path string, out io.Writer, quiet bool) (problems int,
 	if !quiet {
 		fmt.Fprintf(out, "records: %d nodes, each stored once\n", len(seen))
 	}
-	return problems, nil
+	if problems > 0 {
+		return problems, nil
+	}
+	f, err := netfile.OpenFromStore(st, 16)
+	if err != nil {
+		return 0, fmt.Errorf("open for catalog check: %w", err)
+	}
+	diffs := f.CheckCatalog()
+	for _, d := range diffs {
+		fmt.Fprintf(out, "damaged: catalog: %s\n", d)
+	}
+	if !quiet && len(diffs) == 0 {
+		cnt := f.Catalog().Counters()
+		fmt.Fprintf(out, "catalog: %d nodes, %d edges match a file scan\n", cnt.Nodes, cnt.Edges)
+	}
+	return len(diffs), nil
 }
 
 // runSelftest exercises the whole durability story end to end in a
@@ -327,6 +345,10 @@ func runSelftest(out io.Writer) error {
 	if !rep.OK() {
 		return fmt.Errorf("pristine file reported damaged: header=%v freelist=%v damaged=%v",
 			rep.HeaderErr, rep.FreeListErr, rep.Damaged)
+	}
+	// ...down to the logical layer: records and topology catalog.
+	if problems, err := checkRecordAgreement(path, io.Discard, true); err != nil || problems > 0 {
+		return fmt.Errorf("pristine file failed the record/catalog check (%d problems): %v", problems, err)
 	}
 
 	// Flip one bit in the middle of page 1 and expect exactly that

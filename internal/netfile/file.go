@@ -98,6 +98,9 @@ type File struct {
 	// pages — computed by BulkLoad/OpenFromStoreOpts, dropped per page
 	// on mutation. It feeds the pool's prefetch adjacency callback.
 	pagHints map[storage.PageID][]storage.PageID
+	// cat is the topology catalog (catalog.go), kept equal to the
+	// stored records by every record write.
+	cat *Catalog
 	// reg and tracer are nil unless observability is enabled; every hot
 	// path branches on nil before paying anything.
 	reg    *metrics.Registry
@@ -115,15 +118,14 @@ type File struct {
 
 	// Snapshot-read state (see snapshot.go). overlay is the versioned
 	// node→page map snapshot readers resolve placements through without
-	// touching the B+-tree index; curDelta/verActive/events are
-	// writer-side batch bookkeeping. spatMu lets lock-free snapshot
-	// range queries share the live spatial index with the serialized
-	// writer; hintMu does the same for the PAG hint and live-page maps,
-	// which the pool's prefetch callback reads from reader goroutines.
+	// touching the B+-tree index; curDelta/verActive are writer-side
+	// batch bookkeeping. spatMu lets lock-free snapshot range queries
+	// share the live spatial index with the serialized writer; hintMu
+	// does the same for the PAG hint and live-page maps, which the
+	// pool's prefetch callback reads from reader goroutines.
 	overlay   atomic.Pointer[overlayState]
 	curDelta  *overlayDelta
 	verActive bool
-	events    []PlaceEvent
 	spatMu    sync.RWMutex
 	hintMu    sync.RWMutex
 }
@@ -170,6 +172,7 @@ func Create(opts Options) (*File, error) {
 		pages:     make(map[storage.PageID]bool),
 		free:      make(map[storage.PageID]int),
 		pagHints:  make(map[storage.PageID][]storage.PageID),
+		cat:       NewCatalog(nil),
 		idxStore:  idxStore,
 	}
 	f.overlay.Store(&overlayState{base: make(map[graph.NodeID]storage.PageID)})
@@ -261,6 +264,9 @@ func (f *File) NumPages() int {
 	defer f.hintMu.RUnlock()
 	return len(f.pages)
 }
+
+// Catalog returns the file's topology catalog.
+func (f *File) Catalog() *Catalog { return f.cat }
 
 // Quantizer returns the Z-order quantizer of the spatial index.
 func (f *File) Quantizer() geom.Quantizer { return f.quant }
@@ -428,6 +434,15 @@ func (f *File) withPageWrite(pid storage.PageID, fn func(sp *storage.SlottedPage
 // storage.ErrPageFull when the record does not fit, leaving the file
 // unchanged.
 func (f *File) InsertRecordAt(rec *Record, pid storage.PageID) error {
+	if err := f.insertRecordAt(rec, pid); err != nil {
+		return err
+	}
+	f.cat.put(rec, pid)
+	return nil
+}
+
+// insertRecordAt is InsertRecordAt without the catalog update.
+func (f *File) insertRecordAt(rec *Record, pid storage.PageID) error {
 	if f.Has(rec.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicate, rec.ID)
 	}
@@ -525,7 +540,7 @@ func (f *File) UpdateRecord(rec *Record) error {
 	}
 	enc := EncodeRecord(rec)
 	f.invalidatePAGHints(pid)
-	return f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
+	err = f.withPageWrite(pid, func(sp *storage.SlottedPage) (bool, error) {
 		for _, slot := range sp.Slots() {
 			raw, err := sp.Get(slot)
 			if err != nil {
@@ -546,10 +561,24 @@ func (f *File) UpdateRecord(rec *Record) error {
 		}
 		return false, fmt.Errorf("netfile: record %d missing from page %d: %w", rec.ID, pid, ErrCorruptRecord)
 	})
+	if err == nil {
+		f.cat.put(rec, pid)
+	}
+	return err
 }
 
 // DeleteRecord removes node id's record, returning its last value.
 func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
+	rec, err := f.deleteRecord(id)
+	if err != nil {
+		return nil, err
+	}
+	f.cat.remove(id)
+	return rec, nil
+}
+
+// deleteRecord is DeleteRecord without the catalog update.
+func (f *File) deleteRecord(id graph.NodeID) (*Record, error) {
 	pid, err := f.PageOf(id)
 	if err != nil {
 		return nil, err
@@ -605,15 +634,17 @@ func (f *File) DeleteRecord(id graph.NodeID) (*Record, error) {
 }
 
 // MoveRecord relocates a record to page dst, updating the index. It is
-// the reorganization primitive.
+// the reorganization primitive; the catalog keeps the node's edges and
+// their weights across the move.
 func (f *File) MoveRecord(id graph.NodeID, dst storage.PageID) error {
-	rec, err := f.DeleteRecord(id)
+	rec, err := f.deleteRecord(id)
 	if err != nil {
 		return err
 	}
-	if err := f.InsertRecordAt(rec, dst); err != nil {
+	if err := f.insertRecordAt(rec, dst); err != nil {
 		return fmt.Errorf("netfile: move %d to page %d: %w", id, dst, err)
 	}
+	f.cat.put(rec, dst)
 	return nil
 }
 
@@ -780,12 +811,14 @@ func (f *File) BulkLoad(g *graph.Network, groups [][]graph.NodeID) error {
 	}
 
 	// Record each page's PAG neighbors for connectivity-aware prefetch
-	// while the build-time placement is at hand.
+	// and build the topology catalog while the build-time placement is
+	// at hand.
 	recsByPage := make(map[storage.PageID][]*Record, len(images))
 	for gi, img := range images {
 		recsByPage[pids[gi]] = img.recs
 	}
 	f.rebuildPAGHints(recsByPage)
+	f.cat = NewCatalog(recsByPage)
 
 	// Stage 3: bottom-up index builds from sorted runs.
 	entries := make([]btree.Entry, 0, total)
@@ -896,6 +929,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 			return fmt.Errorf("netfile: spatial reindex %d: %w", rec.ID, err)
 		}
 		f.notePlacement(rec.ID, pid)
+		f.cat.put(rec, pid)
 	}
 	return nil
 }
@@ -903,7 +937,7 @@ func (f *File) ReplacePageContents(pid storage.PageID, recs []*Record) error {
 // OpenFromStore reconstructs a File over an existing page store (e.g. a
 // reopened storage.FileStore). Data pages are scanned once to rebuild
 // the memory-resident structures — node index, spatial index, free-space
-// map and PAG prefetch hints — which matches the paper's assumption that
+// map, topology catalog and PAG prefetch hints — which matches the paper's assumption that
 // index structures live in main memory. The scan's I/O is excluded from
 // the returned file's counters.
 func OpenFromStore(st storage.Store, poolPages int) (*File, error) {
@@ -999,6 +1033,7 @@ func OpenFromStoreOpts(st storage.Store, opts Options) (*File, error) {
 		recsByPage[pg.pid] = pg.recs
 	}
 	f.rebuildPAGHints(recsByPage)
+	f.cat = NewCatalog(recsByPage)
 	st.ResetStats()
 	return f, nil
 }

@@ -27,19 +27,9 @@ import (
 // Writer protocol (serialized by the owner, e.g. the facade's write
 // lock): BeginVersionBatch opens a pool version batch and installs a
 // pending overlay delta; every placement mutation records itself into
-// the delta (and as a PlaceEvent for the owner's incremental gauges and
-// planner catalog); PublishVersionBatch stamps the delta and the page
+// the delta; PublishVersionBatch stamps the delta and the page
 // versions with the commit LSN — readers pinned below it keep their
 // view, readers arriving after it see the new one, atomically.
-
-// PlaceEvent records one placement change of a mutation batch: node ID
-// now lives on Page (InvalidPageID = the record was deleted). The owner
-// drains them per operation via TakePlacementEvents to maintain
-// derived structures (CRR gauges, planner catalog) incrementally.
-type PlaceEvent struct {
-	ID   graph.NodeID
-	Page storage.PageID
-}
 
 // pendingOverlayLSN tags a delta whose batch has not committed yet; it
 // compares above every real LSN, so readers skip it.
@@ -108,13 +98,11 @@ func (st *overlayState) placements(lsn uint64) map[graph.NodeID]storage.PageID {
 }
 
 // notePlacement records a placement change at the mutation sites.
-// Inside a version batch it goes to the pending delta and the event
-// stream; outside one (direct File use, serialized by the owner) the
+// Inside a version batch it goes to the pending delta; outside one (direct File use, serialized by the owner) the
 // current base is updated in place.
 func (f *File) notePlacement(id graph.NodeID, pid storage.PageID) {
 	if f.verActive {
 		f.batchDelta().entries[id] = pid
-		f.events = append(f.events, PlaceEvent{ID: id, Page: pid})
 		return
 	}
 	st := f.overlay.Load()
@@ -155,7 +143,6 @@ func (f *File) BeginVersionBatch() {
 	f.pool.BeginVersionBatch()
 	f.curDelta = nil
 	f.verActive = true
-	f.events = f.events[:0]
 }
 
 // PublishVersionBatch commits the open batch at commitLSN (0 auto-
@@ -188,15 +175,6 @@ func (f *File) AbortVersionBatch() {
 	f.pool.AbortVersionBatch()
 	f.curDelta = nil
 	f.verActive = false
-	f.events = nil
-}
-
-// TakePlacementEvents drains the placement events recorded since the
-// batch began (or since the previous drain), in mutation order.
-func (f *File) TakePlacementEvents() []PlaceEvent {
-	evs := f.events
-	f.events = nil
-	return evs
 }
 
 // ResetVersions discards all version state and installs base as the
@@ -210,7 +188,6 @@ func (f *File) ResetVersions(base map[graph.NodeID]storage.PageID) {
 	f.overlay.Store(&overlayState{base: base})
 	f.curDelta = nil
 	f.verActive = false
-	f.events = nil
 }
 
 // overlayCompactThreshold bounds the delta list a reader must walk per

@@ -9,7 +9,6 @@ import (
 	"ccam/internal/costmodel"
 	"ccam/internal/graph"
 	"ccam/internal/query/lang"
-	"ccam/internal/storage"
 )
 
 // ErrUnsupported reports a statement that parses but that the planner
@@ -78,8 +77,11 @@ type Plan struct {
 	Stats Stats `json:"stats"`
 }
 
-// Build plans one parsed statement against the catalog.
+// Build plans one parsed statement against the catalog, holding the
+// topology read lock so concurrent writes never tear the plan's view.
 func Build(c *Catalog, q *lang.Query) (*Plan, error) {
+	c.topo.RLock()
+	defer c.topo.RUnlock()
 	p := &Plan{Stmt: q.Stmt.String(), Stats: c.Stats}
 	params := costmodel.Params{
 		Alpha:  c.Stats.Alpha,
@@ -163,7 +165,7 @@ func (c *Catalog) pickOrScan(p *Plan, est Estimate) {
 
 func (c *Catalog) planFind(p *Plan, s *lang.Find) {
 	pages := 0
-	if c.Has(s.ID) {
+	if c.has(s.ID) {
 		pages = 1
 	}
 	p.Chosen = Estimate{
@@ -220,7 +222,7 @@ func (c *Catalog) planRoute(p *Plan, s *lang.RouteEval, params costmodel.Params)
 	// Mirror EvaluateRoute's reads: the first node, then each verified
 	// hop; a missing node or edge stops the evaluation (and the reads).
 	read := make(map[graph.NodeID]bool)
-	if c.Has(s.IDs[0]) {
+	if c.has(s.IDs[0]) {
 		read[s.IDs[0]] = true
 		for i := 1; i < len(s.IDs); i++ {
 			if !c.hasEdge(s.IDs[i-1], s.IDs[i]) {
@@ -252,8 +254,8 @@ func (c *Catalog) planPath(p *Plan, s *lang.ShortestPath, params costmodel.Param
 }
 
 func (c *Catalog) hasEdge(from, to graph.NodeID) bool {
-	for _, e := range c.succs[from] {
-		if e.to == to {
+	for _, e := range c.topo.Succs(from) {
+		if e.To == to {
 			return true
 		}
 	}
@@ -266,7 +268,7 @@ func (c *Catalog) hasEdge(from, to graph.NodeID) bool {
 // followed. Every ball member's record is read exactly once.
 func (c *Catalog) neighborhood(id graph.NodeID, depth int) (ball map[graph.NodeID]bool, interior int) {
 	ball = make(map[graph.NodeID]bool)
-	if !c.Has(id) {
+	if !c.has(id) {
 		return ball, 0
 	}
 	ball[id] = true
@@ -275,10 +277,10 @@ func (c *Catalog) neighborhood(id graph.NodeID, depth int) (ball map[graph.NodeI
 		var next []graph.NodeID
 		for _, u := range frontier {
 			interior++
-			for _, e := range c.succs[u] {
-				if !ball[e.to] {
-					ball[e.to] = true
-					next = append(next, e.to)
+			for _, e := range c.topo.Succs(u) {
+				if !ball[e.To] {
+					ball[e.To] = true
+					next = append(next, e.To)
 				}
 			}
 		}
@@ -319,11 +321,11 @@ func (q *pqMirror) Pop() interface{} {
 // from the stored float32 values exactly as the executor does.
 func (c *Catalog) dijkstraReads(src, dst graph.NodeID) map[graph.NodeID]bool {
 	read := make(map[graph.NodeID]bool)
-	if !c.Has(src) {
+	if !c.has(src) {
 		return read
 	}
 	read[src] = true
-	if !c.Has(dst) {
+	if !c.has(dst) {
 		return read
 	}
 	dist := map[graph.NodeID]float64{src: 0}
@@ -340,14 +342,14 @@ func (c *Catalog) dijkstraReads(src, dst graph.NodeID) map[graph.NodeID]bool {
 			return read
 		}
 		read[cur.id] = true
-		for _, e := range c.succs[cur.id] {
-			if done[e.to] {
+		for _, e := range c.topo.Succs(cur.id) {
+			if done[e.To] {
 				continue
 			}
-			nd := cur.dist + float64(e.cost)
-			if old, ok := dist[e.to]; !ok || nd < old {
-				dist[e.to] = nd
-				heap.Push(q, pqItem{id: e.to, dist: nd})
+			nd := cur.dist + float64(e.Cost)
+			if old, ok := dist[e.To]; !ok || nd < old {
+				dist[e.To] = nd
+				heap.Push(q, pqItem{id: e.To, dist: nd})
 			}
 		}
 	}
@@ -370,20 +372,4 @@ func (p *Plan) Describe() string {
 		fmt.Fprintf(&b, "  rejected: %s — %d page(s), model %.2f\n", alt.Path, alt.Pages, alt.ModelPages)
 	}
 	return b.String()
-}
-
-// PagesOfNodes counts the distinct data pages of a node list; the
-// executor uses it when it needs page math for result annotations.
-func (c *Catalog) PagesOfNodes(ids []graph.NodeID) int {
-	set := make(map[graph.NodeID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	return c.pagesOf(set)
-}
-
-// PageOf exposes the placement mirror for a single node.
-func (c *Catalog) PageOf(id graph.NodeID) (storage.PageID, bool) {
-	pid, ok := c.pageOf[id]
-	return pid, ok
 }

@@ -39,32 +39,30 @@ func buildTestFile(t *testing.T) *netfile.File {
 // easy to reason about. Stats are pinned, not derived.
 func testCatalog() *Catalog {
 	pos := map[graph.NodeID]geom.Point{}
-	pageOf := map[graph.NodeID]storage.PageID{}
+	succs := map[graph.NodeID][]netfile.SuccEntry{
+		1: {{To: 2, Cost: 1}, {To: 3, Cost: 2}},
+		2: {{To: 3, Cost: 1}},
+		3: {{To: 4, Cost: 1}},
+		4: {{To: 5, Cost: 1}},
+		5: {{To: 6, Cost: 1}},
+		6: {{To: 7, Cost: 1}},
+		7: {{To: 8, Cost: 1}},
+	}
+	recsByPage := map[storage.PageID][]*netfile.Record{}
 	for i := graph.NodeID(1); i <= 8; i++ {
 		pos[i] = geom.Point{X: float64(i), Y: 0}
-		if i <= 4 {
-			pageOf[i] = 0
-		} else {
-			pageOf[i] = 1
+		pid := storage.PageID(0)
+		if i > 4 {
+			pid = 1
 		}
-	}
-	succs := map[graph.NodeID][]catalogEdge{
-		1: {{to: 2, cost: 1}, {to: 3, cost: 2}},
-		2: {{to: 3, cost: 1}},
-		3: {{to: 4, cost: 1}},
-		4: {{to: 5, cost: 1}},
-		5: {{to: 6, cost: 1}},
-		6: {{to: 7, cost: 1}},
-		7: {{to: 8, cost: 1}},
-		8: {},
+		recsByPage[pid] = append(recsByPage[pid], &netfile.Record{ID: i, Pos: pos[i], Succs: succs[i]})
 	}
 	return &Catalog{
 		Stats: Stats{
 			Alpha: 0.5, AvgA: 2, Lambda: 4, Gamma: 4,
 			Nodes: 8, Pages: 2, Spatial: "zorder",
 		},
-		pageOf: pageOf,
-		succs:  succs,
+		topo: netfile.NewCatalog(recsByPage),
 		probe: func(rect geom.Rect, fn func(graph.NodeID) bool) error {
 			for i := graph.NodeID(1); i <= 8; i++ {
 				if rect.Contains(pos[i]) {
@@ -291,6 +289,9 @@ func TestNewCatalogFromFile(t *testing.T) {
 	if c.Stats.AvgA <= 0 || c.Stats.Gamma <= 0 {
 		t.Errorf("degenerate stats: %+v", c.Stats)
 	}
+	if crr := f.Catalog().Counters().CRR(); c.Stats.Alpha != crr {
+		t.Errorf("alpha = %v, catalog CRR = %v", c.Stats.Alpha, crr)
+	}
 	// The probe must be wired to the file's spatial index.
 	seen := 0
 	err = c.probe(geom.Rect{Min: geom.Point{X: -1e9, Y: -1e9}, Max: geom.Point{X: 1e9, Y: 1e9}},
@@ -301,14 +302,8 @@ func TestNewCatalogFromFile(t *testing.T) {
 	if seen != f.NumNodes() {
 		t.Errorf("probe saw %d candidates, want %d", seen, f.NumNodes())
 	}
-	// Page placement mirror agrees with the file.
-	for id, pid := range c.pageOf {
-		got, err := f.PageOf(id)
-		if err != nil {
-			t.Fatalf("PageOf(%d): %v", id, err)
-		}
-		if got != pid {
-			t.Errorf("placement mirror disagrees for %d: %d vs %d", id, pid, got)
-		}
+	// The topology the plans read agrees with the file.
+	if diffs := f.CheckCatalog(); len(diffs) > 0 {
+		t.Errorf("catalog disagrees with the file: %v", diffs)
 	}
 }

@@ -3,7 +3,7 @@ package ccam
 // Tests of the facade's MVCC surface: snapshot isolation across
 // concurrent durable Apply traffic (checkpoints and WAL prunes
 // included), the background incremental reorganizer's CRR recovery,
-// and the planner catalog's incremental upkeep. Run with -race.
+// and the topology catalog's incremental upkeep. Run with -race.
 
 import (
 	"context"
@@ -14,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ccam/internal/netfile"
+	"ccam/internal/storage"
 )
 
 type edgeKey struct{ from, to NodeID }
@@ -259,18 +262,13 @@ func TestReorganizerRecoversCRR(t *testing.T) {
 }
 
 // TestCatalogIncrementalMatchesRebuild churns the file through Apply —
-// which folds each batch's deltas into the cached planner catalog —
-// and checks the incrementally maintained statistics equal a from-
-// scratch rebuild's.
+// every record write updates the file's topology catalog in place —
+// and checks the catalog edge for edge against a file scan, then the
+// planner statistics it yields against a catalog rebuilt from scratch.
 func TestCatalogIncrementalMatchesRebuild(t *testing.T) {
 	s, g := builtStore(t, Options{PageSize: 1024, Seed: 9})
 	ids := g.NodeIDs()
 	ctx := context.Background()
-	// Build the catalog (first Query), then churn.
-	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[0])); err != nil {
-		t.Fatal(err)
-	}
-
 	model := modelFromNetwork(g)
 	rng := rand.New(rand.NewSource(17))
 	nextID := NodeID(500000)
@@ -284,39 +282,39 @@ func TestCatalogIncrementalMatchesRebuild(t *testing.T) {
 		}
 	}
 
-	s.catMu.Lock()
-	incCat := s.cat
-	s.catMu.Unlock()
-	if incCat == nil {
-		t.Fatal("catalog was dropped by Apply; incremental upkeep should keep it")
-	}
-	inc := incCat.Stats
-	// The mirrors must match the file edge for edge, not just in the
+	// The catalog must match the file edge for edge, not just in the
 	// aggregate: a relocation mis-folded as a deletion can leave the
 	// totals right while the adjacency lists rot.
-	if diffs := incCat.DebugDiff(s.m.File()); len(diffs) > 0 {
-		t.Fatalf("incremental mirrors diverged from the file:\n%v", diffs)
-	}
+	checkCatalog(t, s)
 
-	s.invalidateCatalog()
-	if _, err := s.Query(ctx, fmt.Sprintf("FIND %d", ids[1])); err != nil {
+	res, err := s.Query(ctx, fmt.Sprintf("EXPLAIN FIND %d", ids[1]))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.catMu.Lock()
-	full := s.cat.Stats
-	s.catMu.Unlock()
-
-	if inc.Nodes != full.Nodes || inc.Pages != full.Pages || inc.Spatial != full.Spatial {
-		t.Fatalf("incremental catalog shape %+v != rebuilt %+v", inc, full)
+	inc := res.Plan.Stats
+	f := s.m.File()
+	recsByPage := make(map[storage.PageID][]*Record)
+	for _, pid := range f.Pages() {
+		recs, err := f.RecordsOnPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recsByPage[pid] = recs
+	}
+	full := netfile.NewCatalog(recsByPage).Counters()
+	n := float64(full.Nodes)
+	if inc.Nodes != int(full.Nodes) || inc.Pages != len(recsByPage) {
+		t.Fatalf("incremental catalog shape %d nodes/%d pages != rebuilt %d/%d",
+			inc.Nodes, inc.Pages, full.Nodes, len(recsByPage))
 	}
 	for _, c := range []struct {
 		name      string
 		got, want float64
 	}{
-		{"alpha", inc.Alpha, full.Alpha},
-		{"avg_a", inc.AvgA, full.AvgA},
-		{"lambda", inc.Lambda, full.Lambda},
-		{"gamma", inc.Gamma, full.Gamma},
+		{"alpha", inc.Alpha, full.CRR()},
+		{"avg_a", inc.AvgA, float64(full.Edges) / n},
+		{"lambda", inc.Lambda, float64(full.NeighborLen) / n},
+		{"gamma", inc.Gamma, n / float64(len(recsByPage))},
 	} {
 		if math.Abs(c.got-c.want) > 1e-9 {
 			t.Fatalf("incremental %s = %v, rebuilt = %v", c.name, c.got, c.want)

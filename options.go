@@ -104,10 +104,11 @@ func WithCheckpointBytes(n int64) Option {
 func WithExclusiveReads() Option { return func(o *Options) { o.ExclusiveReads = true } }
 
 // WithBackgroundReorg starts the background incremental reorganizer:
-// when the CRR gauge decays from its high-water mark, the worst PAG
+// when the CRR decays from its high-water mark, the worst PAG
 // neighborhoods are re-clustered a bounded number of pages per round,
 // through the WAL and the version layer, without blocking snapshot
-// readers. interval 0 selects the 2s default. Requires WithMetrics.
+// readers. interval 0 selects the 2s default. Independent of
+// WithMetrics: the trigger reads the file's topology catalog.
 func WithBackgroundReorg(interval time.Duration) Option {
 	return func(o *Options) {
 		o.BackgroundReorg = true

@@ -60,11 +60,10 @@ var (
 // Executed statements additionally report the measured I/O deltas in
 // Result.Actual, so predictions can be validated request by request.
 //
-// The planner consults a catalog built lazily from a pinned snapshot
-// on first use and kept current incrementally: every committed batch
-// folds its ops and placement moves into the catalog's mirrors and
-// counters, so the statistics always describe the current placement
-// without a per-mutation rescan (only Build drops the catalog).
+// The planner reads the file's topology catalog, which every record
+// write keeps current: its statistics are divisions over the same
+// counters as the ccam_crr gauge, and it resolves page sets under the
+// catalog's read lock, so a concurrent Apply never tears a plan.
 //
 // Like the other queries, an executed statement runs against an
 // LSN-pinned snapshot: a concurrent Apply never blocks it and never
@@ -80,7 +79,7 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 	}
 	defer v.release()
 	f := v.f
-	cat, err := s.catalog(v)
+	cat, err := plan.NewCatalog(f)
 	if err != nil {
 		return nil, err
 	}
@@ -125,45 +124,6 @@ func (s *Store) Query(ctx context.Context, src string) (*Result, error) {
 // Query is the ctx-less convenience form of Store.Query.
 func (p Plain) Query(src string) (*Result, error) {
 	return p.q.Query(context.Background(), src)
-}
-
-// catalog returns the store's cached planner catalog, building it on
-// first use with one sequential scan of the given read view — the
-// pinned snapshot when one is open, so the build neither blocks nor is
-// torn by a concurrent Apply. catMu makes concurrent first queries
-// share one build; catLSN records the commit the catalog reflects, so
-// Apply's incremental deltas know where to resume (lock order: mu, if
-// held, always before catMu).
-func (s *Store) catalog(v readView) (*plan.Catalog, error) {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if s.cat != nil {
-		return s.cat, nil
-	}
-	var src plan.Source = v.f
-	var lsn uint64
-	if v.pinned {
-		src = v.view
-		lsn = v.view.LSN()
-	}
-	cat, err := plan.NewCatalog(src)
-	if err != nil {
-		return nil, err
-	}
-	s.cat = cat
-	s.catLSN = lsn
-	return cat, nil
-}
-
-// invalidateCatalog drops the cached planner catalog; the next Query
-// rebuilds it from scratch. Only Build calls it now — placement there
-// changes wholesale — while Apply and the background reorganizer keep
-// the catalog current incrementally (applyCatalogDeltas).
-func (s *Store) invalidateCatalog() {
-	s.catMu.Lock()
-	s.cat = nil
-	s.catLSN = 0
-	s.catMu.Unlock()
 }
 
 // IsQueryError reports whether err belongs to the query-language error
